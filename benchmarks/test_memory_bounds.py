@@ -25,6 +25,7 @@ import pytest
 
 from repro.bench.config import ExperimentCell
 from repro.protocols.registry import build_system
+from repro.sim.events import COMPACT_FLOOR, Event
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -33,6 +34,7 @@ import json, resource, sys
 sys.path.insert(0, {src!r})
 from repro.bench.config import ExperimentCell
 from repro.protocols.registry import build_system
+from repro.sim.events import COMPACT_FLOOR, Event
 cell = ExperimentCell(protocol="ladon-pbft", n=32, environment="wan",
                       duration={duration}, batch_size=1024)
 system = build_system(cell.to_system_config())
@@ -152,3 +154,40 @@ class TestBoundedStateStructure:
             for buffered in orderer._by_instance.values():
                 assert len(buffered) <= 2
             assert orderer.confirmed_count > 0
+
+
+def test_cancelled_timers_stay_a_bounded_share_of_the_event_heap():
+    """PBFT arms a view-change timer per round and cancels it on commit; the
+    event heap must not fill up with those dead timers.  Cancelled entries
+    may never exceed max(COMPACT_FLOOR, half the heap) at a slice boundary
+    (without reclamation they reached 64-99 % of this cell's heap)."""
+    cell = ExperimentCell(
+        protocol="ladon-pbft", n=16, environment="wan", stragglers=1,
+        straggler_slowdown=10.0, duration=20.0, batch_size=4096,
+    )
+    system = build_system(cell.to_system_config())
+    system.start()
+    simulator = system.runtime.simulator
+    heap = simulator.queue._heap
+    cancels = 0
+    original_cancel = simulator.queue.cancel
+
+    def counting_cancel(event):
+        nonlocal cancels
+        if not (event.popped or event.cancelled):
+            cancels += 1
+        original_cancel(event)
+
+    simulator.queue.cancel = counting_cancel
+    slices = 40
+    for index in range(1, slices + 1):
+        system.runtime.run(until=cell.duration * index / slices)
+        cancelled = sum(
+            1 for entry in heap if entry[2].__class__ is Event and entry[2].cancelled
+        )
+        assert cancelled <= max(COMPACT_FLOOR, len(heap) / 2), (
+            f"t={simulator.now():.1f}: {cancelled} of {len(heap)} heap "
+            "entries are cancelled events"
+        )
+    assert cancels > 4 * COMPACT_FLOOR  # the run really cancelled timers
+    assert system.collect_result().confirmed

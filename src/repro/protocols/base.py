@@ -336,17 +336,17 @@ class MultiBFTReplica(Node):
         self._build_route()
 
     def _build_route(self) -> None:
-        """Build the (instance, message type) -> handler fast-dispatch table.
+        """Build the message type -> per-instance handler fast-dispatch table.
 
-        One dict hit replaces instance lookup + ``instance.on_message`` +
-        the instance's own type dispatch on the per-delivery hot path.
+        One dict hit plus a list index replaces instance lookup +
+        ``instance.on_message`` + the instance's own type dispatch on the
+        per-delivery hot path.
         Messages that miss the table (checkpoints, subclass extras, unknown
         instances) fall back to the slow path, which preserves the exact
         legacy semantics.  Instances inside a system are never ``stop()``-ed
         (the flag exists for direct unit-test use), so bypassing the
         instance-level ``stopped`` gate is sound here.
         """
-        route: Dict[Tuple[int, type], Tuple[Callable[[int, Any], None], bool]] = {}
         slots = max(self.instances.keys(), default=-1) + 1
         by_cls: Dict[type, List[Optional[Tuple[Callable[[int, Any], None], bool]]]] = {}
         for instance_id, instance in self.instances.items():
@@ -356,12 +356,10 @@ class MultiBFTReplica(Node):
             self_accounting = getattr(instance, "SELF_ACCOUNTING", frozenset())
             for message_cls, handler in handlers.items():
                 entry = (handler, message_cls not in self_accounting)
-                route[(instance_id, message_cls)] = entry
                 per_instance = by_cls.get(message_cls)
                 if per_instance is None:
                     per_instance = by_cls[message_cls] = [None] * slots
                 per_instance[instance_id] = entry
-        self._route = route
         #: class -> per-instance entry list: the delivery fast path pays one
         #: pointer-hash dict get plus a list index (no tuple allocation)
         self._route_cls = by_cls
@@ -599,13 +597,16 @@ class MultiBFTReplica(Node):
         self._dispatch(sender, message)
 
     def _dispatch(self, sender: int, message: Any) -> None:
-        entry = self._route.get((getattr(message, "instance", None), message.__class__))
-        if entry is not None:
-            handler, entry_verify = entry
-            if entry_verify:
-                self.record_crypto_op("verify")
-            handler(sender, message)
-            return
+        per_instance = self._route_cls.get(message.__class__)
+        instance_id = getattr(message, "instance", -1)
+        if per_instance is not None and 0 <= instance_id < len(per_instance):
+            entry = per_instance[instance_id]
+            if entry is not None:
+                handler, entry_verify = entry
+                if entry_verify:
+                    self.record_crypto_op("verify")
+                handler(sender, message)
+                return
         self._dispatch_slow(sender, message)
 
     def _dispatch_slow(self, sender: int, message: Any) -> None:

@@ -13,6 +13,13 @@ backend    class                                        time
 ========== ============================================ ====================
 
 Use :func:`build_runtime` to construct a backend by name.
+
+Only the ``des`` backend is imported with this package.  The realtime
+backend pulls in ``asyncio`` (and with it ``ssl``, ``socket`` and
+``subprocess``), and the sharded one ``multiprocessing``; a discrete-event
+run uses neither, so both load on first use: ``RealtimeRuntime`` through
+the module's ``__getattr__``, and either backend inside
+:func:`build_runtime`.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from typing import Any, Optional
 
 from repro.runtime.base import Runtime, RUNTIME_KINDS
 from repro.runtime.des import DESRuntime
-from repro.runtime.realtime import RealtimeRuntime
 from repro.sim.latency import LatencyModel
 from repro.sim.network import NetworkConfig, NetworkStats
 from repro.sim.trace import TraceRecorder
@@ -35,6 +41,14 @@ __all__ = [
     "NetworkStats",
     "build_runtime",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name == "RealtimeRuntime":
+        from repro.runtime.realtime import RealtimeRuntime
+
+        return RealtimeRuntime
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_runtime(
@@ -57,6 +71,8 @@ def build_runtime(
     if kind == "des":
         return DESRuntime(seed=seed, latency=latency, config=network_config, trace=trace)
     if kind == "realtime":
+        from repro.runtime.realtime import RealtimeRuntime
+
         return RealtimeRuntime(
             seed=seed,
             latency=latency,

@@ -12,6 +12,17 @@ message delivery and per timer), so it is built for allocation thrift:
 
 Events are ordered by ``(time, seq)`` so that two events scheduled for the
 same instant fire in scheduling order, keeping runs deterministic.
+
+Cancelled events are reclaimed rather than left to age out.  A cancel drops
+the event's callback at once (freeing whatever closure it held), and the
+queue counts the queue-cancelled entries still sitting in the heap.  When
+they exceed half the heap, above a floor of :data:`COMPACT_FLOOR` entries
+(the rule CPython's asyncio loop applies to its timer heap), the heap is
+rebuilt in place from its live entries.  Keys ``(time, seq)`` are unique, so
+the rebuilt heap pops in exactly the same order; and because the rebuild
+assigns into the same list object, callers holding the heap (the
+simulator's run loop, the network fan-out) stay valid even when it happens
+inside a callback.
 """
 
 # staticcheck: hot-path
@@ -20,6 +31,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from typing import Any, Callable, Optional
+
+#: the heap is never rebuilt while it holds this many entries or fewer
+COMPACT_FLOOR = 100
 
 
 class Event:
@@ -45,8 +59,9 @@ class Event:
         self.live = True
 
     def cancel(self) -> None:
-        """Mark the event so the queue skips it when popped."""
+        """Mark the event so the queue skips it when popped, and drop its callback."""
         self.cancelled = True
+        self.callback = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "live"
@@ -64,12 +79,18 @@ class EventQueue:
       :meth:`push_call`; never cancellable, used for message deliveries.
 
     ``seq`` is unique, so tuple comparison never reaches the third element.
+
+    ``_cancelled`` counts the entries cancelled through :meth:`cancel` that
+    are still in the heap; it drives the in-place rebuild (module docstring).
+    Events cancelled directly (``Event.cancel()``) are not counted: they stay
+    live until the queue meets them, by pop or by rebuild.
     """
 
     def __init__(self) -> None:
         self._heap: list = []
         self._counter = itertools.count()
         self._live = 0
+        self._cancelled = 0
 
     def push(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
         event = Event(time, next(self._counter), callback, label)
@@ -94,6 +115,30 @@ class EventQueue:
             event.live = False
             self._live -= 1
 
+    def _discard(self, event: Event) -> None:
+        """Account for a cancelled ``event`` taken off the heap."""
+        if event.live:  # cancelled directly: it leaves the live set only now
+            event.live = False
+            self._live -= 1
+        else:
+            self._cancelled -= 1
+
+    def compact_if_wasteful(self) -> None:
+        """Rebuild the heap from its live entries if cancelled ones dominate."""
+        heap = self._heap
+        if self._cancelled * 2 <= len(heap) or len(heap) <= COMPACT_FLOOR:
+            return
+        live = []
+        for entry in heap:
+            payload = entry[2]
+            if payload.__class__ is Event and payload.cancelled:
+                self._forget(payload)
+            else:
+                live.append(entry)
+        heap[:] = live
+        heapq.heapify(heap)
+        self._cancelled = 0
+
     def pop(self) -> Optional[Event]:
         """Pop the earliest non-cancelled event, or ``None`` if empty.
 
@@ -112,9 +157,10 @@ class EventQueue:
                 wrapper.live = False
                 wrapper.popped = True
                 return wrapper
-            self._forget(payload)
             if payload.cancelled:
+                self._discard(payload)
                 continue
+            self._forget(payload)
             payload.popped = True
             return payload
         return None
@@ -125,7 +171,7 @@ class EventQueue:
         while heap:
             payload = heap[0][2]
             if payload.__class__ is Event and payload.cancelled:
-                self._forget(heapq.heappop(heap)[2])
+                self._discard(heapq.heappop(heap)[2])
                 continue
             return heap[0][0]
         return None
@@ -135,6 +181,8 @@ class EventQueue:
             return  # already delivered (or already cancelled): nothing is live
         event.cancel()
         self._forget(event)
+        self._cancelled += 1
+        self.compact_if_wasteful()
 
     def __len__(self) -> int:
         return self._live

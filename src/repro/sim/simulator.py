@@ -106,7 +106,7 @@ class Simulator:
                 payload = entry[2]
                 if payload.__class__ is events_class:
                     if payload.cancelled:
-                        queue._forget(payload)
+                        queue._discard(payload)
                         continue
                     if until is not None and entry[0] > until:
                         heapq.heappush(heap, entry)
@@ -130,6 +130,9 @@ class Simulator:
         finally:
             # Batched: one attribute store per run() instead of one per event.
             self._events_processed += processed
+            # Cancels check for waste as they happen; live pops can tip the
+            # balance too, so check once more before handing control back.
+            queue.compact_if_wasteful()
         # Fast-forward to the horizon only when the queue truly drained:
         # breaking on ``max_events`` (or ``stop()``) leaves live events behind,
         # and jumping the clock past them would make a later ``run()`` process

@@ -1,9 +1,13 @@
 """Tests for the event queue, virtual clock and simulator core."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim import events
 from repro.sim.clock import VirtualClock
-from repro.sim.events import EventQueue
+from repro.sim.events import COMPACT_FLOOR, Event, EventQueue
 from repro.sim.simulator import Simulator
 
 
@@ -216,3 +220,160 @@ class TestSimulator:
         sim.cancel(event)
         sim.run()
         assert fired == []
+
+
+def _cancelled_in_heap(queue):
+    return sum(
+        1 for entry in queue._heap if entry[2].__class__ is Event and entry[2].cancelled
+    )
+
+
+#: queue operations for the model test; ``("cancel", k)`` cancels the k
+#: newest handles (some already cancelled or popped), so cancelled entries
+#: often outnumber live ones and the rebuild fires
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 6)),
+        st.tuples(st.just("call"), st.integers(0, 6)),
+        st.tuples(st.just("cancel"), st.integers(1, 8)),
+        st.tuples(st.just("pop"), st.just(0)),
+    ),
+    min_size=20,
+    max_size=150,
+)
+
+
+class TestQueueReclamation:
+    """Cancelled events are reclaimed without changing what the queue does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_OPS)
+    def test_matches_sorted_list_model(self, ops):
+        # A tiny floor makes the in-place rebuild fire throughout the run.
+        with mock.patch.object(events, "COMPACT_FLOOR", 2):
+            queue = EventQueue()
+            model = []  # (time, seq) of live entries, kept sorted
+            handles = []  # (event, (time, seq)) of every push, in push order
+            seq = 0
+            for op, arg in ops:
+                if op == "push":
+                    event = queue.push(float(arg), lambda: None)
+                    handles.append((event, (float(arg), seq)))
+                    model.append((float(arg), seq))
+                    seq += 1
+                elif op == "call":
+                    queue.push_call(float(arg), print, None, None, None)
+                    model.append((float(arg), seq))
+                    seq += 1
+                elif op == "cancel":
+                    for event, key in handles[-arg:]:
+                        queue.cancel(event)
+                        if key in model:
+                            model.remove(key)
+                        assert event.callback is None or event.popped
+                elif op == "pop":
+                    popped = queue.pop()
+                    if model:
+                        model.sort()
+                        assert (popped.time, popped.seq) == model.pop(0)
+                    else:
+                        assert popped is None
+                model.sort()
+                assert len(queue) == len(model)
+                assert queue.peek_time() == (model[0][0] if model else None)
+                assert queue._cancelled == _cancelled_in_heap(queue)
+            drained = []
+            while True:
+                popped = queue.pop()
+                if popped is None:
+                    break
+                drained.append((popped.time, popped.seq))
+            assert drained == model
+            assert queue._heap == [] and queue._cancelled == 0 and len(queue) == 0
+
+    def test_cancel_drops_the_callback(self):
+        queue = EventQueue()
+        by_queue = queue.push(1.0, lambda: None)
+        direct = queue.push(2.0, lambda: None)
+        queue.cancel(by_queue)
+        direct.cancel()
+        assert by_queue.callback is None
+        assert direct.callback is None
+        sim = Simulator()
+        timer = sim.schedule_after(1.0, lambda: None)
+        sim.cancel(timer)
+        assert timer.callback is None
+
+    def test_heap_rebuilt_when_cancelled_entries_dominate(self):
+        queue = EventQueue()
+        timers = [queue.push(10.0 + i, lambda: None) for i in range(4 * COMPACT_FLOOR)]
+        for timer in timers[: 2 * COMPACT_FLOOR]:
+            queue.cancel(timer)
+        # Exactly half the heap is cancelled: not yet worth a rebuild.
+        assert len(queue._heap) == 4 * COMPACT_FLOOR
+        queue.cancel(timers[2 * COMPACT_FLOOR])
+        # The cancel that tipped the balance rebuilt the heap.
+        assert queue._cancelled == 0
+        assert len(queue._heap) == len(queue) == 2 * COMPACT_FLOOR - 1
+        assert queue.peek_time() == timers[2 * COMPACT_FLOOR + 1].time
+
+    def test_direct_cancel_discarded_lazily_with_correct_live_count(self):
+        queue = EventQueue()
+        timers = [queue.push(1.0 + i, lambda: None) for i in range(4 * COMPACT_FLOOR)]
+        direct = timers[:3]
+        for timer in direct:
+            timer.cancel()  # not through the queue: still counted as live
+        assert len(queue) == 4 * COMPACT_FLOOR
+        assert queue._cancelled == 0
+        # Popping reaches the directly-cancelled events and discards them.
+        assert queue.pop() is timers[3]
+        assert len(queue) == 4 * COMPACT_FLOOR - 4
+        # A rebuild also discards directly-cancelled events, counting each once.
+        for timer in timers[-4:-1]:
+            timer.cancel()
+        for timer in timers[4 : 4 + 2 * COMPACT_FLOOR]:
+            queue.cancel(timer)
+        assert queue._cancelled < COMPACT_FLOOR  # the rebuild fired
+        assert not any(entry[2] in direct or entry[2].live and entry[2].cancelled
+                       for entry in queue._heap)
+        assert queue._cancelled == _cancelled_in_heap(queue)
+        assert len(queue) == 2 * COMPACT_FLOOR - 7
+        assert len(queue._heap) == len(queue) + queue._cancelled
+        fired = 0
+        while queue.pop() is not None:
+            fired += 1
+        assert fired == 2 * COMPACT_FLOOR - 7 and len(queue) == 0
+
+    @staticmethod
+    def _run_with_mid_run_cancellation():
+        sim = Simulator()
+        fired = []
+        timers = [
+            sim.schedule_at(5.0 + (i % 7), lambda i=i: fired.append(("timer", i)))
+            for i in range(3 * COMPACT_FLOOR)
+        ]
+        for i in range(50):
+            sim.schedule_call(1.0 + (i % 5), lambda a, b, c: fired.append(a), ("call", i), 0, 0)
+        heap_sizes = []
+
+        def cancel_most():
+            heap = sim.queue._heap
+            heap_sizes.append(len(heap))
+            for timer in timers[::3] + timers[1::3]:
+                sim.cancel(timer)
+            heap_sizes.append(len(heap))
+            fired.append(("cancelled", sim.now()))
+
+        sim.schedule_at(3.0, cancel_most)
+        end = sim.run(until=20.0)
+        return fired, heap_sizes, end, sim.events_processed
+
+    def test_rebuild_inside_a_callback_keeps_the_run_order(self):
+        fired, heap_sizes, end, processed = self._run_with_mid_run_cancellation()
+        # The rebuild happened inside the callback, on the run loop's heap.
+        assert heap_sizes[1] < heap_sizes[0] - COMPACT_FLOOR
+        with mock.patch.object(events, "COMPACT_FLOOR", 10**9):
+            lazy = self._run_with_mid_run_cancellation()
+        assert lazy[1][1] == lazy[1][0]  # the reference run never rebuilt
+        assert (fired, end, processed) == (lazy[0], lazy[2], lazy[3])
+        assert len(fired) == 50 + 1 + COMPACT_FLOOR
