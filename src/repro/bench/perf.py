@@ -31,12 +31,12 @@ import argparse
 import json
 import os
 import platform
-import resource
 import sys
 import time
 from typing import List, Optional, Sequence
 
 from repro.bench.config import ExperimentCell
+from repro.metrics.resources import peak_rss_bytes
 
 #: the canonical scale-out ladder
 SCALING_NS = (8, 16, 32, 64, 128)
@@ -45,14 +45,6 @@ SCALING_NS = (8, 16, 32, 64, 128)
 #: holds n*m = 262k instance state machines in one heap — the sharded
 #: runtime splits that across workers)
 SCALING_NS_SHARDED = (8, 16, 32, 64, 128, 256, 512)
-
-
-def peak_rss_bytes() -> int:
-    """The process's peak resident set size, in bytes (Linux: KiB units)."""
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes
-        return rss
-    return rss * 1024
 
 
 def machine_info() -> dict:

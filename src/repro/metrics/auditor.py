@@ -1,8 +1,11 @@
 """Safety and liveness auditing of a finished run.
 
 Every simulated run self-verifies the claims the paper's fault model makes
-(`f < n/3` ⇒ safety): after the simulator stops, :func:`audit_system`
-inspects the *honest* replicas and checks
+(`f < n/3` ⇒ safety): after the run stops, :func:`audit_system` reads
+the per-replica logs of the run's
+:class:`~repro.protocols.result.ResultPart` payloads (one for a
+single-process run, one per worker for a sharded run — both backends
+share this one policy), keeps the *honest* replicas, and checks
 
 * **partial-commit agreement** — no two honest replicas committed
   different digests at the same (instance, round): the classic safety
@@ -18,15 +21,16 @@ inspects the *honest* replicas and checks
 Adversarial replicas (rank manipulators, equivocators, silencers, vote
 delayers) are excluded from the honest set; crash-faulted replicas keep
 their safety checks (a crashed log is a valid prefix) but are excluded
-from the liveness scan.  The report rides
-:class:`~repro.protocols.base.SystemResult` and its headline numbers are
+from the liveness scan.  :func:`audit_logs` is the policy-free core over
+plain logs.  The report rides
+:class:`~repro.protocols.result.SystemResult` and its headline numbers are
 folded into the metrics row (``safety_violations`` / ``stalled_instances``)
 so sweeps and cached cells retain the verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -176,52 +180,45 @@ def audit_logs(
     )
 
 
-def audit_system(system, stall_window: Optional[float] = None) -> SafetyAuditReport:
-    """Audit a finished :class:`~repro.protocols.base.MultiBFTSystem` run."""
+def audit_system(system, parts: Sequence) -> SafetyAuditReport:
+    """The audit policy of a finished run, shared by every backend.
+
+    ``system`` supplies ``config`` and ``effective_faults``; ``parts`` are
+    its :class:`~repro.protocols.result.ResultPart` payloads (one per
+    process).  This is the one place that fixes the honest set
+    (adversarial replicas out), the live set (crash-faulted replicas out),
+    the stall window, and which instances must keep committing.
+    """
     config = system.config
     faults = system.effective_faults
     adversarial = faults.adversarial_replicas()
-    honest = [r for r in sorted(system.replicas) if r not in adversarial]
     crashed = {spec.replica for spec in faults.crashes}
-    live = [r for r in honest if r not in crashed]
+    commit_logs: Dict[int, Dict[int, Sequence[PartialCommit]]] = {}
+    confirmed_fps: Dict[int, Sequence[ConfirmedFingerprint]] = {}
+    for part in parts:
+        commit_logs.update(part.commit_logs)
+        confirmed_fps.update(part.confirmed_fps)
+    # Ascending replica id: the longest-log tie in the prefix check then
+    # resolves to the lowest id whatever the part layout.
+    honest = [r for r in sorted(commit_logs) if r not in adversarial]
 
-    if stall_window is None:
-        # Slow enough for the slowest honest straggler's proposal cadence
-        # and for a full view-change round trip; liveness below that pace
-        # is a stall, not slowness.
-        max_slowdown = max(
-            [spec.slowdown for spec in faults.straggler_map().values()], default=1.0
-        )
-        stall_window = max(
-            2.0 * config.view_change_timeout,
-            3.0 * config.proposal_interval * max_slowdown,
-        )
-
-    partial_by_replica: Dict[int, Dict[int, List[PartialCommit]]] = {}
-    confirmed_by_replica: Dict[int, List[ConfirmedFingerprint]] = {}
-    for replica_id in honest:
-        replica = system.replicas[replica_id]
-        by_instance: Dict[int, List[PartialCommit]] = {}
-        for instance_id, instance in replica.instances.items():
-            # Instances keep a compact (round, digest, committed_at) log for
-            # exactly this purpose — full Block histories exist only on the
-            # observer in bounded-memory mode.
-            log = getattr(instance, "commit_log", None)
-            if log is None:
-                log = [
-                    (block.round, block.payload_digest, block.committed_at or 0.0)
-                    for block in getattr(instance, "delivered_blocks", ())
-                ]
-            by_instance[instance_id] = list(log)
-        partial_by_replica[replica_id] = by_instance
-        confirmed_by_replica[replica_id] = replica.orderer.confirmed_fingerprints()
+    # Slow enough for the slowest honest straggler's proposal cadence and
+    # for a full view-change round trip; liveness below that pace is a
+    # stall, not slowness.
+    max_slowdown = max(
+        [spec.slowdown for spec in faults.straggler_map().values()], default=1.0
+    )
+    stall_window = max(
+        2.0 * config.view_change_timeout,
+        3.0 * config.proposal_interval * max_slowdown,
+    )
 
     report = audit_logs(
-        partial_by_replica,
-        confirmed_by_replica,
+        {r: commit_logs[r] for r in honest},
+        {r: confirmed_fps[r] for r in honest},
         duration=config.duration,
         stall_window=stall_window,
-        live_replicas=live,
+        live_replicas=[r for r in honest if r not in crashed],
         # Only the paced worker instances are expected to keep committing;
         # extra instances (DQBFT's ordering instance) are demand-driven.
         liveness_instances=range(config.m),

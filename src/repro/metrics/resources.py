@@ -14,8 +14,22 @@ with and without stragglers.  We reproduce this with an accounting model:
 
 from __future__ import annotations
 
+import resource
+import sys
 from dataclasses import dataclass, field
 from typing import Dict
+
+
+def peak_rss_bytes() -> int:
+    """This host process's peak resident set size, in bytes.
+
+    Not part of the accounting model: it measures the simulator itself.
+    ``ru_maxrss`` is KiB on Linux and bytes on macOS.
+    """
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes
+        return rss
+    return rss * 1024
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,16 @@ from repro.core.ordering import ConfirmedBlock, DynamicOrderer, GlobalOrderer
 from repro.core.predetermined import PredeterminedOrderer
 from repro.core.rank import RankState
 from repro.crypto.aggregate import quorum_threshold
-from repro.metrics.auditor import SafetyAuditReport, audit_system
-from repro.metrics.collector import MetricsCollector, RunMetrics
+from repro.metrics.auditor import audit_system
+from repro.metrics.collector import MetricsCollector
 from repro.metrics.resources import ResourceModel
+from repro.protocols.result import (
+    ObserverBundle,
+    ResultPart,
+    SystemResult,
+    assemble_result,
+    commit_log,
+)
 from repro.runtime import NetworkConfig, Runtime, RUNTIME_KINDS, build_runtime
 from repro.sim.faults import FaultConfig, FaultInjector
 from repro.sim.latency import LanLatency, LatencyModel, WanLatency
@@ -159,24 +166,6 @@ class SystemConfig:
         if self.scenario is not None:
             return self.scenario.build_traffic_stream(self.m, self.n)
         return None
-
-
-@dataclass
-class SystemResult:
-    """Everything a benchmark needs from one finished run."""
-
-    metrics: RunMetrics
-    confirmed: Tuple[ConfirmedBlock, ...]
-    network_stats: Any
-    resources: ResourceModel
-    throughput_series: List[Tuple[float, float]]
-    view_change_times: List[Tuple[float, int, int]]
-    epoch_advancements: List[Tuple[float, int]]
-    crash_log: List[Tuple[float, int, str]]
-    #: unified fault/dynamics/attack timeline: (time, kind, detail)
-    dynamics_log: List[Tuple[float, str, str]] = field(default_factory=list)
-    #: safety/liveness audit of the honest replicas (always computed)
-    audit: Optional[SafetyAuditReport] = None
 
 
 class ReplicaInstanceContext(InstanceContext):
@@ -856,41 +845,43 @@ class MultiBFTSystem:
         return self.collect_result()
 
     def collect_result(self) -> SystemResult:
-        observer = self.replicas[self._observer_id]
-        # Attribute network byte counts to per-replica resource usage so that
-        # the bandwidth numbers reflect what was actually pushed to the NIC.
-        for replica_id, byte_count in self.runtime.stats.bytes_per_node.items():
-            usage = self.resources.usage(replica_id)
-            usage.bytes_sent = max(usage.bytes_sent, byte_count)
-        metrics = observer.metrics.summarise(
-            protocol=self.config.protocol,
-            n=self.config.n,
-            stragglers=self.config.faults.straggler_count(),
-            duration=self.config.duration,
-            resources=self.resources,
-            warmup=self.config.warmup,
-        )
-        audit = audit_system(self)
-        metrics.extra["safety_violations"] = float(len(audit.violations))
-        metrics.extra["stalled_instances"] = float(len(audit.stalled_instances))
-        if self.fault_injector.interceptors:
-            for key, value in self.fault_injector.adversary_stats().items():
-                metrics.extra[f"adversary_{key}"] = float(value)
+        parts = [self.collect_part()]
+        return assemble_result(self, parts, audit_system(self, parts))
+
+    def collect_part(self) -> ResultPart:
+        """Read this process's (local) replicas into one :class:`ResultPart`."""
+        commit_logs: Dict[int, Dict[int, List[Tuple[int, str, float]]]] = {}
+        confirmed_fps: Dict[int, List[Tuple[int, int, int, int, str]]] = {}
         view_changes: List[Tuple[float, int, int]] = []
-        for replica in self.replicas.values():
+        for replica_id in sorted(self.replicas):
+            replica = self.replicas[replica_id]
+            commit_logs[replica_id] = {
+                instance_id: commit_log(instance)
+                for instance_id, instance in replica.instances.items()
+            }
+            confirmed_fps[replica_id] = replica.orderer.confirmed_fingerprints()
             view_changes.extend(replica.view_change_log)
-        epoch_log: List[Tuple[float, int]] = []
-        if observer.pacemaker is not None:
-            epoch_log = list(observer.pacemaker.advancement_log)
-        return SystemResult(
-            metrics=metrics,
-            confirmed=observer.orderer.confirmed,
-            network_stats=self.runtime.stats,
-            resources=self.resources,
-            throughput_series=observer.metrics.throughput.series(until=self.config.duration),
-            view_change_times=sorted(view_changes),
-            epoch_advancements=epoch_log,
-            crash_log=list(self.fault_injector.crash_log),
-            dynamics_log=list(self.fault_injector.event_log),
-            audit=audit,
+        observer = self.replicas.get(self._observer_id)
+        bundle = None
+        if observer is not None:
+            bundle = ObserverBundle(
+                collector=observer.metrics,
+                confirmed=observer.orderer.confirmed,
+                epoch_log=(
+                    list(observer.pacemaker.advancement_log)
+                    if observer.pacemaker is not None
+                    else []
+                ),
+            )
+        injector = self.fault_injector
+        return ResultPart(
+            commit_logs=commit_logs,
+            confirmed_fps=confirmed_fps,
+            view_change_log=view_changes,
+            crash_log=list(injector.crash_log),
+            event_log=list(injector.event_log),
+            adversary_stats=(
+                injector.adversary_stats() if injector.interceptors else None
+            ),
+            observer=bundle,
         )

@@ -40,7 +40,16 @@ Determinism: the partition plan is a pure function of the config, each
 worker's simulator is seeded by :func:`~repro.shard.ipc.derive_shard_seed`,
 frames are routed and merged in source-shard order, and the hub's merge
 iterates shards and replicas in ascending order — the same (seed, shards)
-pair reproduces bit-identically.  Relative to the single-process DES,
+pair reproduces bit-identically.
+
+**Results.**  Each worker reads its replicas with the extraction a
+single-process run uses (``MultiBFTSystem.collect_part``) and ships the
+:class:`~repro.protocols.result.ResultPart` inside its
+:class:`~repro.shard.worker.ShardResult`; :class:`ShardedSystem` feeds the
+N parts to the same audit policy
+(:func:`repro.metrics.auditor.audit_system`) and the same
+:func:`~repro.protocols.result.assemble_result`, and adds only its shard
+diagnostics to the metrics row.  Relative to the single-process DES,
 per-shard RNG streams make *timestamps* differ, but the confirmed
 sequence's (instance, round, rank, digest) identity and the safety-audit
 verdict are equivalence-checked in ``tests/test_sharded.py``.
@@ -49,11 +58,12 @@ verdict are equivalence-checked in ``tests/test_sharded.py``.
 from __future__ import annotations
 
 import multiprocessing
-import resource
-import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.metrics.auditor import audit_system
+from repro.metrics.resources import ResourceModel, peak_rss_bytes
+from repro.protocols.result import SystemResult, assemble_result
 from repro.runtime.base import Runtime
 from repro.runtime.des import DESRuntime
 from repro.shard.ipc import decode_frame, encode_frame
@@ -66,25 +76,10 @@ from repro.sim.simulator import Simulator
 from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.protocols.base import SystemConfig, SystemResult
+    from repro.protocols.base import SystemConfig
     from repro.shard.worker import ShardResult
 
 _INFINITY = float("inf")
-
-#: dynamics-log kinds armed identically on every shard (time-driven network
-#: dynamics + the install-time rank-manipulation marker): the merge takes
-#: them from shard 0 to avoid N-fold duplication
-_GLOBAL_EVENT_KINDS = frozenset(
-    {
-        "partition",
-        "heal",
-        "degrade",
-        "degrade-end",
-        "loss-burst",
-        "loss-burst-end",
-        "attack:rank-manipulation",
-    }
-)
 
 #: hard cap on post-final drain rounds; the lookahead bound terminates the
 #: drain in <= 3 rounds, so hitting this means the barrier math regressed
@@ -349,10 +344,7 @@ class ShardedDESRuntime(Runtime):
         is an upper bound on true simultaneous footprint — the honest
         direction for a memory budget.
         """
-        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        if sys.platform != "darwin":  # ru_maxrss is KiB on Linux
-            own *= 1024
-        return own + sum(self.worker_peak_rss_bytes)
+        return peak_rss_bytes() + sum(self.worker_peak_rss_bytes)
 
     def stop(self) -> None:
         self.close()
@@ -382,22 +374,22 @@ def _merge_network_stats(total: NetworkStats, part: NetworkStats) -> None:
 class ShardedSystem:
     """Hub-side facade with the ``MultiBFTSystem`` result surface.
 
-    ``run()`` drives the barrier protocol and merges the workers'
-    :class:`~repro.shard.worker.ShardResult` payloads into the same
-    :class:`~repro.protocols.base.SystemResult` a single-process run
-    produces, including the safety/liveness audit over the union of every
-    shard's honest commit logs.
+    ``run()`` drives the barrier protocol, then hands the workers'
+    :class:`~repro.protocols.result.ResultPart` payloads to the same audit
+    policy and :func:`~repro.protocols.result.assemble_result` a
+    single-process run uses (metrics, safety/liveness audit over the union
+    of every shard's honest logs, merged timelines) and adds only the shard
+    diagnostics.
     """
 
     def __init__(self, config: "SystemConfig") -> None:
-        from repro.metrics.resources import ResourceModel
         from repro.runtime import build_runtime
 
         self.config = config
-        self.effective_faults = config.effective_faults()
         self.runtime: ShardedDESRuntime = build_runtime(
             "sharded", system_config=config
         )
+        self.effective_faults = self.runtime.effective_faults
         self.resources = ResourceModel()
 
     @property
@@ -413,142 +405,24 @@ class ShardedSystem:
         """No global simulator exists; per-shard ones live in the workers."""
         return None
 
-    def run(self) -> "SystemResult":
+    def run(self) -> SystemResult:
         self.runtime.run(until=self.config.duration)
         results = self.runtime.collect_results()
-        return self._merge(results)
-
-    # ---------------------------------------------------------------- merge
-    def _merge(self, results: Sequence["ShardResult"]) -> "SystemResult":
-        from repro.metrics.auditor import audit_logs
-        from repro.protocols.base import SystemResult
-
-        config = self.config
-        faults = self.effective_faults
-
-        # -------- resources: ascending replica id fixes the float-sum order
+        # Ascending replica id fixes the float-sum order.
         usage_rows: Dict[int, Any] = {}
-        for result in results:
-            usage_rows.update(result.resources)
+        for shard in results:
+            usage_rows.update(shard.resources)
         self.resources.absorb(
             {replica: usage_rows[replica] for replica in sorted(usage_rows)}
         )
-        stats = self.runtime.stats
-        for replica, byte_count in stats.bytes_per_node.items():
-            usage = self.resources.usage(replica)
-            usage.bytes_sent = max(usage.bytes_sent, byte_count)
-
-        # -------- observer: exactly one shard hosts it
-        observers = [r.observer for r in results if r.observer is not None]
-        if len(observers) != 1:  # pragma: no cover - structural invariant
-            raise RuntimeError(
-                f"expected exactly one shard to host the observer, got "
-                f"{len(observers)}"
-            )
-        observer = observers[0]
-        metrics = observer.collector.summarise(
-            protocol=config.protocol,
-            n=config.n,
-            stragglers=faults.straggler_count(),
-            duration=config.duration,
-            resources=self.resources,
-            warmup=config.warmup,
-        )
-
-        # -------- audit over the union of per-shard honest logs
-        adversarial = faults.adversarial_replicas()
-        crashed = {spec.replica for spec in faults.crashes}
-        partial_by_replica: Dict[int, Dict[int, list]] = {}
-        confirmed_by_replica: Dict[int, list] = {}
-        for result in results:
-            for replica in sorted(result.commit_logs):
-                if replica in adversarial:
-                    continue
-                partial_by_replica[replica] = result.commit_logs[replica]
-                confirmed_by_replica[replica] = result.confirmed_fps[replica]
-        # Same stall-window formula as audit_system (which needs live
-        # replica objects and therefore cannot run on the hub).
-        max_slowdown = max(
-            [spec.slowdown for spec in faults.straggler_map().values()], default=1.0
-        )
-        stall_window = max(
-            2.0 * config.view_change_timeout,
-            3.0 * config.proposal_interval * max_slowdown,
-        )
-        audit = audit_logs(
-            partial_by_replica,
-            confirmed_by_replica,
-            duration=config.duration,
-            stall_window=stall_window,
-            live_replicas=[r for r in sorted(partial_by_replica) if r not in crashed],
-            liveness_instances=range(config.m),
-        )
-        audit.adversarial_replicas = tuple(sorted(adversarial))
-        metrics.extra["safety_violations"] = float(len(audit.violations))
-        metrics.extra["stalled_instances"] = float(len(audit.stalled_instances))
-
-        # -------- adversary counters: plain sums across shards
-        adversary_totals: Dict[str, int] = {}
-        for result in results:
-            if result.adversary_stats:
-                for key, value in result.adversary_stats.items():
-                    adversary_totals[key] = adversary_totals.get(key, 0) + value
-        for key, value in sorted(adversary_totals.items()):
-            metrics.extra[f"adversary_{key}"] = float(value)
-
-        # -------- sharded-runtime diagnostics ride the metrics row
-        metrics.extra["shards"] = float(self.plan.shards)
-        metrics.extra["sync_rounds"] = float(self.runtime.sync.rounds)
-        metrics.extra["lookahead_ms"] = self.lookahead.seconds * 1e3
-        if self.runtime.sync.min_margin != _INFINITY:
-            metrics.extra["sync_min_margin_ms"] = (
-                self.runtime.sync.min_margin * 1e3
-            )
-
-        view_changes: List[Tuple[float, int, int]] = []
-        crash_log: List[Tuple[float, int, str]] = []
-        for result in results:
-            view_changes.extend(result.view_change_log)
-            crash_log.extend(result.crash_log)
-
-        return SystemResult(
-            metrics=metrics,
-            confirmed=observer.confirmed,
-            network_stats=stats,
-            resources=self.resources,
-            throughput_series=observer.collector.throughput.series(
-                until=config.duration
-            ),
-            view_change_times=sorted(view_changes),
-            epoch_advancements=observer.epoch_log,
-            crash_log=sorted(crash_log),
-            dynamics_log=_merge_dynamics_logs([r.event_log for r in results]),
-            audit=audit,
-        )
-
-
-def _merge_dynamics_logs(
-    logs: Sequence[List[Tuple[float, str, str]]]
-) -> List[Tuple[float, str, str]]:
-    """One chronological dynamics timeline from per-shard event logs.
-
-    Time-driven network dynamics arm identically on every shard, so those
-    kinds come from shard 0 only; crash/recover entries are owned by the
-    hosting shard and concatenate; attack-window entries concatenate with
-    exact-duplicate suppression (identical "on" markers from shards sharing
-    a conspiracy collapse, per-shard "-end" stats entries all survive).
-    """
-    merged: List[Tuple[float, str, str]] = []
-    seen: set = set()
-    for shard_id, log in enumerate(logs):
-        for entry in log:
-            kind = entry[1]
-            if kind in _GLOBAL_EVENT_KINDS:
-                if shard_id != 0:
-                    continue
-            elif entry in seen:
-                continue
-            seen.add(entry)
-            merged.append(entry)
-    merged.sort(key=lambda entry: entry[0])
-    return merged
+        parts = [shard.part for shard in results]
+        result = assemble_result(self, parts, audit_system(self, parts))
+        # Sharded-runtime diagnostics ride the metrics row.
+        extra = result.metrics.extra
+        sync = self.runtime.sync
+        extra["shards"] = float(self.plan.shards)
+        extra["sync_rounds"] = float(sync.rounds)
+        extra["lookahead_ms"] = self.lookahead.seconds * 1e3
+        if sync.min_margin != _INFINITY:
+            extra["sync_min_margin_ms"] = sync.min_margin * 1e3
+        return result

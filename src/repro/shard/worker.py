@@ -18,7 +18,9 @@ frame      payload                                                  direction
            the window's outbox frames per destination shard, the
            earliest outgoing arrival, the local heap head, and the
            cumulative event count
-``collect`` request the :class:`ShardResult`                        hub->wkr
+``collect`` request the :class:`ShardResult`: the shard's          hub->wkr
+           :class:`~repro.protocols.result.ResultPart` (the
+           single-process extraction) plus shard diagnostics
 ``result`` the pickled :class:`ShardResult`                         wkr->hub
 ``stop``   exit the worker loop                                     hub->wkr
 ``error``  a formatted traceback (any phase)                        wkr->hub
@@ -33,26 +35,17 @@ reproduces bit-identically.
 from __future__ import annotations
 
 import math
-import resource
-import sys
 import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
+from repro.metrics.resources import peak_rss_bytes
+from repro.protocols.result import ResultPart
 from repro.shard.ipc import decode_batch, decode_frame, derive_shard_seed, encode_frame
 from repro.shard.partition import ShardPlan
 from repro.shard.transport import ShardNetwork
 
 _INFINITY = float("inf")
-
-
-@dataclass
-class ObserverBundle:
-    """The observer replica's full metrics state (one shard carries it)."""
-
-    collector: Any  # MetricsCollector
-    confirmed: Tuple[Any, ...]  # Tuple[ConfirmedBlock, ...]
-    epoch_log: List[Tuple[float, int]]
 
 
 @dataclass
@@ -64,25 +57,13 @@ class ShardResult:
     peak_rss_bytes: int
     net_stats: Any  # NetworkStats
     resources: Dict[int, Any]  # replica -> ResourceUsage
-    commit_logs: Dict[int, Dict[int, List[Tuple[int, str, float]]]]
-    confirmed_fps: Dict[int, List[Tuple[int, int, int, int, str]]]
-    view_change_log: List[Tuple[float, int, int]]
-    crash_log: List[Tuple[float, int, str]]
-    event_log: List[Tuple[float, str, str]]
-    adversary_stats: Optional[Dict[str, int]]
-    observer: Optional[ObserverBundle]
+    #: the shard's replicas, read by the same extraction a single-process
+    #: run uses (``MultiBFTSystem.collect_part``)
+    part: ResultPart
     #: observed lookahead-safety margin: min(arrival - horizon) over every
     #: remote delivery this shard accepted (inf if none arrived)
     min_margin: float = _INFINITY
     windows: int = 0
-
-
-def _worker_peak_rss_bytes() -> int:
-    """This worker's own peak RSS in bytes (ru_maxrss is KiB on Linux)."""
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes
-        return rss
-    return rss * 1024
 
 
 def _build_system(config, plan: ShardPlan, shard_id: int):
@@ -106,54 +87,14 @@ def collect_shard_result(
     system, network: ShardNetwork, shard_id: int, windows: int
 ) -> ShardResult:
     """Gather the worker-side state the hub merges into a SystemResult."""
-    commit_logs: Dict[int, Dict[int, List[Tuple[int, str, float]]]] = {}
-    confirmed_fps: Dict[int, List[Tuple[int, int, int, int, str]]] = {}
-    view_changes: List[Tuple[float, int, int]] = []
-    for replica_id in sorted(system.replicas):
-        replica = system.replicas[replica_id]
-        by_instance: Dict[int, List[Tuple[int, str, float]]] = {}
-        for instance_id, instance in replica.instances.items():
-            log = getattr(instance, "commit_log", None)
-            if log is None:
-                log = [
-                    (block.round, block.payload_digest, block.committed_at or 0.0)
-                    for block in getattr(instance, "delivered_blocks", ())
-                ]
-            by_instance[instance_id] = list(log)
-        commit_logs[replica_id] = by_instance
-        confirmed_fps[replica_id] = replica.orderer.confirmed_fingerprints()
-        view_changes.extend(replica.view_change_log)
-
-    observer: Optional[ObserverBundle] = None
-    observer_id = system._observer_id
-    if observer_id in system.replicas:
-        obs = system.replicas[observer_id]
-        observer = ObserverBundle(
-            collector=obs.metrics,
-            confirmed=obs.orderer.confirmed,
-            epoch_log=(
-                list(obs.pacemaker.advancement_log)
-                if obs.pacemaker is not None
-                else []
-            ),
-        )
-
-    injector = system.fault_injector
+    part = system.collect_part()  # before the RSS reading, which covers it
     return ShardResult(
         shard_id=shard_id,
         events_processed=system.runtime.events_processed,
-        peak_rss_bytes=_worker_peak_rss_bytes(),
+        peak_rss_bytes=peak_rss_bytes(),
         net_stats=network.stats,
         resources=dict(system.resources.per_replica()),
-        commit_logs=commit_logs,
-        confirmed_fps=confirmed_fps,
-        view_change_log=view_changes,
-        crash_log=list(injector.crash_log),
-        event_log=list(injector.event_log),
-        adversary_stats=(
-            injector.adversary_stats() if injector.interceptors else None
-        ),
-        observer=observer,
+        part=part,
         min_margin=network.min_margin,
         windows=windows,
     )

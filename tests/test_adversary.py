@@ -30,6 +30,7 @@ from repro.consensus.messages import (
 )
 from repro.protocols.base import SystemConfig
 from repro.protocols.registry import build_system
+from repro.runtime.des import DESRuntime
 from repro.scenario.registry import available_scenarios, get_scenario
 from repro.sim.faults import FaultConfig, FaultInjector, StragglerSpec
 from repro.sim.network import Network
@@ -166,7 +167,7 @@ class TestAdversarySpec:
 # ----------------------------------------------------------- interceptor
 class _Recorder(Node):
     def __init__(self, node_id, simulator, network):
-        super().__init__(node_id, simulator, network)
+        super().__init__(node_id, DESRuntime(simulator=simulator, network=network))
         self.received = []
 
     def on_message(self, sender, message):

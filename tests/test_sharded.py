@@ -20,7 +20,10 @@ whichever 2f+1 replies land first), so the oracle compares what the protocol
 * the **per-instance confirmed sequence** of ``(round, digest)`` (each
   instance's log is totally ordered by its consensus rounds);
 * the confirmed-block **count**, the **audit verdict** (safety + liveness +
-  stalled instances), and the **crash/recovery log**.
+  stalled instances), and the **crash/recovery log**;
+* what both backends derive through the one result path: the audit's
+  honest/adversarial sets and stall window, the dynamics timeline, and the
+  order of the metrics-row keys (shard diagnostics aside).
 
 Within one backend, determinism is still bit-exact: same (seed, shards)
 implies identical full tuples including ranks and timestamps.
@@ -28,15 +31,19 @@ implies identical full tuples including ranks and timestamps.
 
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench.config import ExperimentCell
 from repro.bench.sweep import cell_key
+from repro.metrics.auditor import audit_system
 from repro.protocols.base import SystemConfig
 from repro.protocols.registry import build_system
+from repro.protocols.result import _merge_dynamics_logs
 from repro.runtime import build_runtime
-from repro.runtime.sharded import ShardedSystem, _merge_dynamics_logs
+from repro.runtime.sharded import ShardedSystem
+from repro.scenario import get_scenario
 from repro.shard import derive_lookahead, plan_shards
 from repro.shard.ipc import (
     check_flyweight,
@@ -244,6 +251,33 @@ class TestDynamicsMerge:
         assert (2.0, "attack:equivocation-end", "shard stats") in merged
 
 
+# ---------------------------------------------------- one result path
+class TestResultAssembly:
+    def test_one_part_merges_to_itself(self):
+        log = [
+            (0.0, "attack:rank-manipulation", "rank"),
+            (1.0, "attack:silence", "on"),
+            (1.0, "attack:silence", "on"),
+            (2.0, "partition", "groups=2"),
+        ]
+        assert _merge_dynamics_logs([log]) == log
+
+    def test_prefix_tie_reference_is_the_lowest_id_across_parts(self):
+        system = SimpleNamespace(
+            config=SystemConfig(protocol="ladon-pbft", n=4, duration=1.0),
+            effective_faults=FaultConfig(),
+        )
+        parts = [
+            SimpleNamespace(commit_logs={3: {}}, confirmed_fps={3: [(0, 0, 1, 0, "b")]}),
+            SimpleNamespace(commit_logs={1: {}}, confirmed_fps={1: [(0, 0, 1, 0, "a")]}),
+        ]
+        audit = audit_system(system, parts)
+        assert audit.honest_replicas == (1, 3)
+        assert [v.detail.split(" at ")[0] for v in audit.violations] == [
+            "replica 3 diverges from replica 1"
+        ]
+
+
 # --------------------------------------------------- equivalence vs oracle
 def confirmed_set(result):
     return {
@@ -274,8 +308,9 @@ def full_tuples(result):
     ]
 
 
-#: the oracle cells: four protocol families, plus crash/recovery and
-#: straggler cells, across 2/3/4-shard plans
+#: the oracle cells: four protocol families, plus crash/recovery,
+#: straggler, adversary and network-partition cells, across 2/3/4-shard
+#: plans
 ORACLE_CELLS = [
     pytest.param(
         SystemConfig(
@@ -325,7 +360,25 @@ ORACLE_CELLS = [
         2,
         id="stragglers-2sh",
     ),
+    pytest.param(
+        get_scenario("byz-silence").system_config(
+            protocol="ladon-pbft", n=8, duration=8.0, batch_size=64, seed=3
+        ),
+        2,
+        id="byz-silence-2sh",
+    ),
+    pytest.param(
+        # splits at 8 s and heals at 16 s: both dynamics fire in the run
+        get_scenario("wan-partition").system_config(
+            protocol="ladon-pbft", n=8, duration=17.0, batch_size=64, seed=3
+        ),
+        2,
+        id="wan-partition-2sh",
+    ),
 ]
+
+#: metrics-row keys only the sharded backend adds
+SHARD_EXTRA_KEYS = {"shards", "sync_rounds", "lookahead_ms", "sync_min_margin_ms"}
 
 
 class TestEquivalence:
@@ -343,6 +396,13 @@ class TestEquivalence:
         assert sharded.audit.live == single.audit.live
         assert sharded.audit.stalled_instances == single.audit.stalled_instances
         assert sorted(sharded.crash_log) == sorted(single.crash_log)
+        assert sharded.audit.stall_window == single.audit.stall_window
+        assert sharded.audit.honest_replicas == single.audit.honest_replicas
+        assert sharded.audit.adversarial_replicas == single.audit.adversarial_replicas
+        assert sharded.dynamics_log == single.dynamics_log
+        assert [
+            key for key in sharded.metrics.extra if key not in SHARD_EXTRA_KEYS
+        ] == list(single.metrics.extra)
 
     def test_sharded_run_is_bit_deterministic(self):
         config = SystemConfig(

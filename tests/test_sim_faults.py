@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.runtime.des import DESRuntime
 from repro.sim.faults import (
     CrashSpec,
     DegradationSpec,
@@ -77,6 +78,9 @@ class TestFaultConfig:
 
 
 class _DummyNode(Node):
+    def __init__(self, node_id, simulator, network):
+        super().__init__(node_id, DESRuntime(simulator=simulator, network=network))
+
     def on_message(self, sender, message):
         pass
 
@@ -117,7 +121,7 @@ class TestFaultInjector:
 
 class _Echo(Node):
     def __init__(self, node_id, simulator, network):
-        super().__init__(node_id, simulator, network)
+        super().__init__(node_id, DESRuntime(simulator=simulator, network=network))
         self.received = []
 
     def on_message(self, sender, message):

@@ -13,6 +13,7 @@ def warnings_none():
         warnings.simplefilter("error")
         yield
 
+from repro.runtime.des import DESRuntime
 from repro.sim.latency import DEFAULT_WAN_REGIONS, LanLatency, UniformLatency, WanLatency
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
@@ -97,7 +98,7 @@ class TestLatencyModels:
 
 class _Recorder(Node):
     def __init__(self, node_id, simulator, network):
-        super().__init__(node_id, simulator, network)
+        super().__init__(node_id, DESRuntime(simulator=simulator, network=network))
         self.received = []
 
     def on_message(self, sender, message):
